@@ -50,7 +50,8 @@ let build_xv6 out dir =
       in
       mkdirs "" (Fs.Vpath.split (Fs.Vpath.dirname path));
       let node = Result.get_ok (Fs.Xv6fs.create fs path Fs.Xv6fs.Reg) in
-      ignore (Result.get_ok (Fs.Xv6fs.writei fs node ~off:0 ~data)))
+      let n = Result.get_ok (Fs.Xv6fs.writei fs node ~off:0 ~data) in
+      if n < Bytes.length data then failwith ("vos_mkfs: image full at " ^ path))
     files;
   write_image out image;
   Printf.printf "xv6fs image: %d files, %d blocks -> %s\n" (List.length files)

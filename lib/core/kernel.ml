@@ -153,7 +153,8 @@ let build_ramdisk spec =
       | Error e -> Kpanic.panicf "boot: %s" e
       | Ok node -> (
           match Fs.Xv6fs.writei fsys node ~off:0 ~data with
-          | Ok _ -> ()
+          | Ok n when n = Bytes.length data -> ()
+          | Ok n -> Kpanic.panicf "boot: %s: ramdisk full after %d bytes" path n
           | Error e -> Kpanic.panicf "boot: %s: %s" path e))
     all_files;
   image

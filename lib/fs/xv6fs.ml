@@ -618,14 +618,18 @@ let writei t node ~off ~data =
                   end
               | Error e -> err := Some e
             done;
+            (* A write that runs out of blocks part-way has already
+               stored its leading bytes: like POSIX write(2) it reports
+               that short count, and the size covers exactly those
+               bytes. Only a write that stored nothing is an error. *)
             match !err with
-            | Some e -> Error e
-            | None ->
-                if off + len > node.i_size then begin
-                  node.i_size <- off + len;
+            | Some e when !written = 0 -> Error e
+            | Some _ | None ->
+                if off + !written > node.i_size then begin
+                  node.i_size <- off + !written;
                   write_dinode t node
                 end;
-                Ok len)
+                Ok !written)
 
 (* ---- directories ---- *)
 

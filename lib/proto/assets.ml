@@ -2,8 +2,11 @@
     OGG tracks, MPEG clips and DOOM WADs (DESIGN.md's substitution rule:
     the content is generated, the formats and the decode work are real).
 
-    Generation is memoized — encoding 720p DCT frames is the expensive
-    part of staging, and every benchmark boots its own kernel. *)
+    Generation is memoized, so a process encodes each asset at most once
+    however many kernels it boots. Cold, that one encode is most of a
+    Prototype 5 boot's host cost: the two MV1 clips' forward DCTs lead,
+    then the hi-res PNG's DEFLATE pass and the GIF's LZW (EXPERIMENTS.md
+    "Cold set-up" has the per-asset figures). *)
 
 let memo f =
   let cache = ref None in
@@ -18,14 +21,16 @@ let memo f =
 (* ---- images ---- *)
 
 let test_card ~width ~height ~seed =
-  let pixels =
-    Array.init (width * height) (fun i ->
-        let x = i mod width and y = i / width in
-        let r = (x * 255 / width) lxor (seed * 37) land 0xff in
-        let g = (y * 255 / height + seed * 11) land 0xff in
-        let b = ((x + y) * 127 / (width + height) * 2) land 0xff in
-        (r lsl 16) lor (g lsl 8) lor b)
-  in
+  let pixels = Array.make (width * height) 0 in
+  for y = 0 to height - 1 do
+    let row = y * width in
+    let g = (y * 255 / height + seed * 11) land 0xff in
+    for x = 0 to width - 1 do
+      let r = (x * 255 / width) lxor (seed * 37) land 0xff in
+      let b = ((x + y) * 127 / (width + height) * 2) land 0xff in
+      pixels.(row + x) <- (r lsl 16) lor (g lsl 8) lor b
+    done
+  done;
   { User.Bmp.width; height; pixels }
 
 let slide_bmp = memo (fun () -> User.Bmp.encode (test_card ~width:320 ~height:240 ~seed:1))
@@ -70,32 +75,45 @@ let clip_audio_vogg =
 
 (* ---- video ---- *)
 
-let video_frame ~width ~height ~t =
-  let y_plane = Array.make (width * height) 0 in
-  let u_plane = Array.make (width / 2 * (height / 2)) 128 in
-  let v_plane = Array.make (width / 2 * (height / 2)) 128 in
-  (* a moving luminance gradient plus a bouncing bright square *)
+(* Frame [t] of the synthetic clip, drawn over every sample of [frame]:
+   a moving luminance gradient plus a bouncing bright square. *)
+let draw_frame ~width ~height ~t { User.Mv1.y_plane; u_plane; v_plane } =
   let bx = (t * 37) mod (width - 64) and by = (t * 23) mod (height - 64) in
+  let ramp = Array.init width (fun x -> (x + (t * 8)) * 120 / width) in
   for y = 0 to height - 1 do
+    let row = y * width in
+    let shade = 40 + (y * 40 / height) in
+    let box_row = y >= by && y < by + 64 in
     for x = 0 to width - 1 do
-      let base = 40 + ((x + (t * 8)) * 120 / width) + (y * 40 / height) in
-      let boxed = x >= bx && x < bx + 64 && y >= by && y < by + 64 in
-      y_plane.((y * width) + x) <- (if boxed then 230 else min 235 base)
+      y_plane.(row + x) <-
+        (if box_row && x >= bx && x < bx + 64 then 230
+         else Int.min 235 (shade + ramp.(x)))
     done
   done;
-  for cy = 0 to (height / 2) - 1 do
-    for cx = 0 to (width / 2) - 1 do
-      u_plane.((cy * (width / 2)) + cx) <- 100 + ((cx + t) * 56 / (width / 2));
-      v_plane.((cy * (width / 2)) + cx) <- 160 - (cy * 48 / (height / 2))
-    done
+  (* u varies along a row only, v down the columns only *)
+  let cw = width / 2 and ch = height / 2 in
+  for cx = 0 to cw - 1 do
+    u_plane.(cx) <- 100 + ((cx + t) * 56 / cw)
   done;
-  { User.Mv1.y_plane; u_plane; v_plane }
+  for cy = 0 to ch - 1 do
+    if cy > 0 then Array.blit u_plane 0 u_plane (cy * cw) cw;
+    Array.fill v_plane (cy * cw) cw (160 - (cy * 48 / ch))
+  done
 
+(* one frame of planes, redrawn and encoded in turn *)
 let make_clip ~width ~height ~nframes =
+  let chroma = width / 2 * (height / 2) in
+  let frame =
+    {
+      User.Mv1.y_plane = Array.make (width * height) 0;
+      u_plane = Array.make chroma 0;
+      v_plane = Array.make chroma 0;
+    }
+  in
   let frames =
     Array.init nframes (fun t ->
-        User.Mv1.encode_frame ~width ~height ~quality:User.Mv1.quality
-          (video_frame ~width ~height ~t))
+        draw_frame ~width ~height ~t frame;
+        User.Mv1.encode_frame ~width ~height ~quality:User.Mv1.quality frame)
   in
   User.Mv1.pack { User.Mv1.width; height; fps = 30; frames }
 

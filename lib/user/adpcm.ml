@@ -17,7 +17,7 @@ let step_table =
 
 let index_table = [| -1; -1; -1; -1; 2; 4; 6; 8; -1; -1; -1; -1; 2; 4; 6; 8 |]
 
-let clamp lo hi v = max lo (min hi v)
+let clamp lo hi (v : int) = if v < lo then lo else if v > hi then hi else v
 
 type state = { mutable predictor : int; mutable step_index : int }
 

@@ -237,46 +237,39 @@ let compress_stored data =
 
 (* Fixed-Huffman literals (no matches): a real entropy coder; compresses
    ASCII-ish data slightly, valid everywhere. *)
-type writer = { wbuf : Buffer.t; mutable wbyte : int; mutable wbit : int }
-
-let make_writer () = { wbuf = Buffer.create 1024; wbyte = 0; wbit = 0 }
-
-let write_bit w b =
-  w.wbyte <- w.wbyte lor (b lsl w.wbit);
-  if w.wbit = 7 then begin
-    Buffer.add_char w.wbuf (Char.chr w.wbyte);
-    w.wbyte <- 0;
-    w.wbit <- 0
-  end
-  else w.wbit <- w.wbit + 1
-
-let write_bits_lsb w v n =
-  for i = 0 to n - 1 do
-    write_bit w ((v lsr i) land 1)
-  done
-
-(* Huffman codes are written MSB-first. *)
-let write_code w code n =
-  for i = n - 1 downto 0 do
-    write_bit w ((code lsr i) land 1)
-  done
-
 let fixed_code sym =
   if sym < 144 then (0x30 + sym, 8)
   else if sym < 256 then (0x190 + sym - 144, 9)
   else if sym < 280 then (sym - 256, 7)
   else (0xc0 + sym - 280, 8)
 
+(* Huffman codes go out MSB-first into an LSB-first bit stream, so each
+   literal's code is stored bit-reversed, ready to OR into the
+   accumulator; bits leave it a whole byte at a time. *)
 let compress_fixed data =
-  let w = make_writer () in
-  write_bit w 1 (* final *);
-  write_bits_lsb w 1 2 (* fixed *);
-  Bytes.iter
-    (fun c ->
-      let code, n = fixed_code (Char.code c) in
-      write_code w code n)
-    data;
-  let code, n = fixed_code 256 in
-  write_code w code n;
-  if w.wbit <> 0 then Buffer.add_char w.wbuf (Char.chr w.wbyte);
-  Buffer.to_bytes w.wbuf
+  let rev = Array.make 257 0 and len = Array.make 257 0 in
+  for sym = 0 to 256 do
+    let code, n = fixed_code sym in
+    let r = ref 0 in
+    for i = 0 to n - 1 do
+      r := (!r lsl 1) lor ((code lsr i) land 1)
+    done;
+    rev.(sym) <- !r;
+    len.(sym) <- n
+  done;
+  let out = Buffer.create (Bytes.length data + (Bytes.length data / 8) + 8) in
+  (* BFINAL = 1, then BTYPE = 01 (fixed), LSB first *)
+  let acc = ref 0b011 and nbits = ref 3 in
+  let put sym =
+    acc := !acc lor (rev.(sym) lsl !nbits);
+    nbits := !nbits + len.(sym);
+    while !nbits >= 8 do
+      Buffer.add_char out (Char.chr (!acc land 0xff));
+      acc := !acc lsr 8;
+      nbits := !nbits - 8
+    done
+  in
+  Bytes.iter (fun c -> put (Char.code c)) data;
+  put 256;
+  if !nbits > 0 then Buffer.add_char out (Char.chr !acc);
+  Buffer.to_bytes out

@@ -36,31 +36,47 @@ type t = {
 
 let pi = 4.0 *. atan 1.0
 
+(* C[k][n], flattened row-major: entry (k, n) lives at [(k * 8) + n] *)
 let dct_matrix =
-  Array.init 8 (fun k ->
-      Array.init 8 (fun n ->
-          let ck = if k = 0 then sqrt (1.0 /. 8.0) else sqrt (2.0 /. 8.0) in
-          ck *. cos ((2.0 *. float_of_int n +. 1.0) *. float_of_int k *. pi /. 16.0)))
+  Array.init 64 (fun i ->
+      let k = i / 8 and n = i mod 8 in
+      let ck = if k = 0 then sqrt (1.0 /. 8.0) else sqrt (2.0 /. 8.0) in
+      ck *. cos ((2.0 *. float_of_int n +. 1.0) *. float_of_int k *. pi /. 16.0))
 
-(* out = C * block * C^T *)
+(* out = C * block * C^T over a block already converted to floats.
+   Row k of the first product, t = C[k] * block, is accumulated as eight
+   independent sums; row k of the result is then t * C^T. Every dot
+   product still sums from 0.0 in ascending index order — only the
+   interleaving of independent sums differs — so each coefficient is
+   the same float, bit for bit. *)
 let fdct block out =
-  let tmp = Array.make 64 0.0 in
   for k = 0 to 7 do
-    for x = 0 to 7 do
-      let s = ref 0.0 in
-      for n = 0 to 7 do
-        s := !s +. (dct_matrix.(k).(n) *. float_of_int block.((n * 8) + x))
-      done;
-      tmp.((k * 8) + x) <- !s
-    done
-  done;
-  for k = 0 to 7 do
+    let row = k * 8 in
+    let t0 = ref 0.0 and t1 = ref 0.0 and t2 = ref 0.0 and t3 = ref 0.0 in
+    let t4 = ref 0.0 and t5 = ref 0.0 and t6 = ref 0.0 and t7 = ref 0.0 in
+    for n = 0 to 7 do
+      let c = dct_matrix.(row + n) and col = n * 8 in
+      t0 := !t0 +. (c *. block.(col));
+      t1 := !t1 +. (c *. block.(col + 1));
+      t2 := !t2 +. (c *. block.(col + 2));
+      t3 := !t3 +. (c *. block.(col + 3));
+      t4 := !t4 +. (c *. block.(col + 4));
+      t5 := !t5 +. (c *. block.(col + 5));
+      t6 := !t6 +. (c *. block.(col + 6));
+      t7 := !t7 +. (c *. block.(col + 7))
+    done;
     for l = 0 to 7 do
-      let s = ref 0.0 in
-      for x = 0 to 7 do
-        s := !s +. (tmp.((k * 8) + x) *. dct_matrix.(l).(x))
-      done;
-      out.((k * 8) + l) <- !s
+      let m = l * 8 in
+      out.(row + l) <-
+        0.0
+        +. (!t0 *. dct_matrix.(m))
+        +. (!t1 *. dct_matrix.(m + 1))
+        +. (!t2 *. dct_matrix.(m + 2))
+        +. (!t3 *. dct_matrix.(m + 3))
+        +. (!t4 *. dct_matrix.(m + 4))
+        +. (!t5 *. dct_matrix.(m + 5))
+        +. (!t6 *. dct_matrix.(m + 6))
+        +. (!t7 *. dct_matrix.(m + 7))
     done
   done
 
@@ -70,7 +86,7 @@ let idct coeffs out =
     for l = 0 to 7 do
       let s = ref 0.0 in
       for k = 0 to 7 do
-        s := !s +. (dct_matrix.(k).(n) *. coeffs.((k * 8) + l))
+        s := !s +. (dct_matrix.((k * 8) + n) *. coeffs.((k * 8) + l))
       done;
       tmp.((n * 8) + l) <- !s
     done
@@ -80,7 +96,7 @@ let idct coeffs out =
       let s = ref 0.0 in
       for l = 0 to 7 do
         (* X = C^T Y C: the second factor indexes C[l][m] *)
-        s := !s +. (tmp.((n * 8) + l) *. dct_matrix.(l).(m))
+        s := !s +. (tmp.((n * 8) + l) *. dct_matrix.((l * 8) + m))
       done;
       let v = int_of_float (Float.round !s) in
       out.((n * 8) + m) <- max 0 (min 255 v)
@@ -104,16 +120,20 @@ let zigzag =
      43; 36; 29; 22; 15; 23; 30; 37; 44; 51; 58; 59; 52; 45; 38; 31; 39; 46;
      53; 60; 61; 54; 47; 55; 62; 63 |]
 
+(* The quantizer's divisors in zigzag order: the table is addressed in
+   raster order, the coefficients are visited in zigzag order. *)
+let zigzag_divisors quant = Array.map (fun i -> float_of_int quant.(i)) zigzag
+
 (* RLE of the zigzag sequence: (run-of-zeros, value) pairs; values are
-   signed 16-bit. 0xF0 run means "16 zeros, no value"; EOB = (0, 0). *)
-let encode_block buf quant coeffs =
-  let zz = Array.map (fun i -> coeffs.(i)) zigzag in
-  (* quantize in zigzag order with the table addressed in raster order *)
-  let q = Array.mapi (fun i v ->
-      int_of_float (Float.round (v /. float_of_int quant.(zigzag.(i))))) zz
-  in
+   signed 16-bit. 0xF0 run means "16 zeros, no value"; EOB = (0, 0).
+   [q] is the caller's scratch for the quantized levels. *)
+let encode_block buf divisors coeffs q =
   let last_nonzero = ref (-1) in
-  Array.iteri (fun i v -> if v <> 0 then last_nonzero := i) q;
+  for i = 0 to 63 do
+    let v = int_of_float (Float.round (coeffs.(zigzag.(i)) /. divisors.(i))) in
+    q.(i) <- v;
+    if v <> 0 then last_nonzero := i
+  done;
   let i = ref 0 in
   while !i <= !last_nonzero do
     let run = ref 0 in
@@ -167,13 +187,6 @@ let for_blocks ~width ~height f =
     done
   done
 
-let extract_block plane ~width ~bx ~by out =
-  for y = 0 to 7 do
-    for x = 0 to 7 do
-      out.((y * 8) + x) <- plane.(((by * 8 + y) * width) + (bx * 8) + x)
-    done
-  done
-
 let insert_block plane ~width ~bx ~by block =
   for y = 0 to 7 do
     for x = 0 to 7 do
@@ -181,13 +194,21 @@ let insert_block plane ~width ~bx ~by block =
     done
   done
 
-let encode_plane buf quant plane ~width ~height =
-  let block = Array.make 64 0 in
+(* Each block is converted to floats once, and the three per-block
+   arrays are this call's scratch, reused across the whole plane. *)
+let encode_plane buf divisors plane ~width ~height =
+  let block = Array.make 64 0.0 in
   let coeffs = Array.make 64 0.0 in
+  let q = Array.make 64 0 in
   for_blocks ~width ~height (fun ~bx ~by ->
-      extract_block plane ~width ~bx ~by block;
+      for y = 0 to 7 do
+        let src = (((by * 8) + y) * width) + (bx * 8) in
+        for x = 0 to 7 do
+          block.((y * 8) + x) <- float_of_int plane.(src + x)
+        done
+      done;
       fdct block coeffs;
-      encode_block buf quant coeffs)
+      encode_block buf divisors coeffs q)
 
 let decode_plane data pos quant plane ~width ~height =
   let coeffs = Array.make 64 0.0 in
@@ -205,11 +226,11 @@ let blocks_per_frame ~width ~height =
   (width * height / 64) + (2 * (width / 2 * (height / 2) / 64))
 
 let encode_frame ~width ~height ~quality frame =
-  let quant = quant_table ~quality in
+  let divisors = zigzag_divisors (quant_table ~quality) in
   let buf = Buffer.create (width * height / 4) in
-  encode_plane buf quant frame.y_plane ~width ~height;
-  encode_plane buf quant frame.u_plane ~width:(width / 2) ~height:(height / 2);
-  encode_plane buf quant frame.v_plane ~width:(width / 2) ~height:(height / 2);
+  encode_plane buf divisors frame.y_plane ~width ~height;
+  encode_plane buf divisors frame.u_plane ~width:(width / 2) ~height:(height / 2);
+  encode_plane buf divisors frame.v_plane ~width:(width / 2) ~height:(height / 2);
   Buffer.to_bytes buf
 
 let decode_frame ~width ~height ~quality data =

@@ -26,6 +26,7 @@ let () =
       Test_obs.suite;
       Test_user.suite_alloc;
       Test_user.suite_codecs;
+      Test_user.suite_encoder_oracles;
       Test_user.suite_crypto;
       Test_user.suite_threads;
       Test_apps.suite_engines;

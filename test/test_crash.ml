@@ -344,6 +344,57 @@ let kernel_power_cut_is_recoverable () =
   let b = check_ok "read" (Fs.Xv6fs.readi t f ~off:0 ~len:4096) in
   check_bool "acked prefix intact" true (Bytes.equal b (Bytes.make 4096 'c'))
 
+(* A write(2) that runs the rootfs out of blocks part-way stores a
+   prefix and reports it as a short count — never -ENOSPC after data
+   already reached the disk. Files are filled one 200 KB write at a time
+   (the journal-off layout caps a file below the disk's size) until one
+   write comes up short; the next gets -ENOSPC, the short file holds
+   exactly the stored prefix, and the medium is fsck-clean. *)
+let full_disk_write_is_short ~config () =
+  let chunk = 200 * 1024 in
+  let pattern = Bytes.init chunk (fun i -> Char.chr ((i * 7) land 0xff)) in
+  let kernel = boot_kernel ~config () in
+  let short =
+    match
+      Benchlib.Measure.run_task kernel ~name:"filler" (fun () ->
+          let rec fill k =
+            if k > 16 then Alcotest.fail "rootfs never filled";
+            let path = Printf.sprintf "/fill%d.dat" k in
+            let fd = User.Usys.open_ path (Core.Abi.o_create lor Core.Abi.o_rdwr) in
+            check_bool "open" true (fd >= 0);
+            let n = User.Usys.write fd pattern in
+            if n = chunk then begin
+              ignore (User.Usys.close fd);
+              fill (k + 1)
+            end
+            else begin
+              check_bool "short count, not an error" true (n > 0 && n < chunk);
+              check_int "disk full: nothing more fits" (-Core.Errno.enospc)
+                (User.Usys.write fd (Bytes.make 1024 'x'));
+              ignore (User.Usys.close fd);
+              (path, n)
+            end
+          in
+          fill 0)
+    with
+    | Ok (v, _) -> v
+    | Error e -> Alcotest.fail e
+  in
+  Core.Kernel.shutdown kernel;
+  let image =
+    match Core.Bufcache.backing_image kernel.Core.Kernel.root_bc with
+    | Some i -> Bytes.copy i
+    | None -> Alcotest.fail "rootfs cache is not RAM-backed"
+  in
+  let t = mount_image image in
+  check_fsck "filled disk" t;
+  let path, n = short in
+  let f = check_ok "short file exists" (Fs.Xv6fs.lookup t path) in
+  check_int "size is the short count" n (Fs.Xv6fs.stat_of t f).Fs.Xv6fs.st_size;
+  check_bool "content is the written prefix" true
+    (Bytes.equal (Bytes.sub pattern 0 n)
+       (check_ok "read" (Fs.Xv6fs.readi t f ~off:0 ~len:chunk)))
+
 let suite_kernel =
   ( "kernel.crash",
     [
@@ -353,4 +404,8 @@ let suite_kernel =
       quick "clean shutdown leaves nothing to replay"
         clean_shutdown_replays_nothing;
       quick "power cut mid-run is recoverable" kernel_power_cut_is_recoverable;
+      quick "unjournaled full disk: short write"
+        (full_disk_write_is_short ~config:test_config);
+      quick "journaled full disk: short write"
+        (full_disk_write_is_short ~config:journal_config);
     ] )

@@ -146,6 +146,45 @@ let assets_decode () =
   check_int "rate" 44100 rate;
   check_bool "8s of audio" true (n = 8 * 44100)
 
+(* The MD5 of every file Prototype 5 stages, recorded before the asset
+   encoders were rewritten for speed: the encoders may change how they
+   work, never a byte of what they produce. *)
+let golden_ramdisk =
+  [
+    ("/slides/one.bmp", "8f4689cb72cc0529fbbf3cb1d4efa133");
+    ("/slides/two.pngl", "ddb4ecd2153b86f16f90301bf293a801");
+    ("/slides/three.gifl", "7103b5b4dbd7fa6f2afcd12ef7665637");
+    ("/roms/mario.nes", "e5bb99576f86b38e48bd4e13b92a2f13");
+    ("/roms/zelda.nes", "b9c697a9a5f6faef8b2ae29216616ea6");
+    ("/roms/tetris.nes", "9ad7b98f90761462967b3648a793469c");
+    ("/scripts/demo.sh", "aa440b9906af67408c6ac8b1bcb52f0a");
+  ]
+
+let golden_fat =
+  [
+    ("/videos/clip480.mv1", "8a09abe3c4a1ed6400d4109b09a552d8");
+    ("/videos/clip720.mv1", "896d2bd5410c4188b9e115b5529e5470");
+    ("/videos/clipaudio.vogg", "e9eaa46bca3bbf799f588d7056efe9cd");
+    ("/music/track1.vogg", "fa55282adc9f9ba1154f75e7abbbc118");
+    ("/music/cover1.pngl", "050849e68ec4588717c36884b3810d87");
+    ("/slides/hires.pngl", "f70504b2f1996cb9d3d281b75154cb34");
+    ("/slides/one.bmp", "8f4689cb72cc0529fbbf3cb1d4efa133");
+    ("/doom/doom1.wad", "c8c9c3837455104b8439664bee1bd27c");
+  ]
+
+let staged_assets_are_golden () =
+  let check_files what golden files =
+    check_int (what ^ " file count") (List.length golden) (List.length files);
+    List.iter2
+      (fun (gpath, gmd5) (path, data) ->
+        Alcotest.(check string) (what ^ " path") gpath path;
+        Alcotest.(check string) (what ^ ": " ^ path) gmd5
+          (Digest.to_hex (Digest.bytes data)))
+      golden files
+  in
+  check_files "ramdisk" golden_ramdisk (Proto.Stage.ramdisk_files 5);
+  check_files "fat" golden_fat (Proto.Stage.fat_files 5)
+
 let sloc_analysis () =
   let report = Proto.Sloc.analyze () in
   check_bool "no missing files" true (report.Proto.Sloc.missing = []);
@@ -207,6 +246,8 @@ let suite =
       slow "P4: files and sound, no FAT" prototype4_files_and_sound;
       slow "P5: full desktop" prototype5_full_desktop;
       quick "synthetic assets decode" assets_decode;
+      quick "staged P5 assets are byte-identical to the golden MD5s"
+        staged_assets_are_golden;
       quick "sloc analysis (Figure 7)" sloc_analysis;
       quick "survey model deterministic (Figure 13)" survey_is_deterministic;
       quick "os model preserves paper shapes" osmodel_shapes;

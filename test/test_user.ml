@@ -348,6 +348,353 @@ let suite_codecs =
       quick "mv1 container roundtrip" mv1_container_roundtrip;
     ] )
 
+(* ---- encoder equivalence: the fast encoders against the originals ----
+
+   The asset encoders were rewritten for speed under one contract: the
+   same input encodes to the same bytes. The oracles below are the
+   original implementations, unchanged except that the LZW copy also
+   counts its clears: list-keyed LZW, per-block allocating DCT and
+   quantizer, bit-at-a-time fixed Huffman. *)
+
+module Oracle = struct
+  (* Lzw.encode with the match as an [int list] and the table keyed by
+     the whole sequence; also counts the 4096-code clears it emitted *)
+  let lzw_encode ~min_code_size data =
+    let clears = ref 0 in
+    let clear_code = 1 lsl min_code_size in
+    let end_code = clear_code + 1 in
+    let out = Buffer.create (Bytes.length data) in
+    let bitbuf = ref 0 and bitcnt = ref 0 in
+    let code_size = ref (min_code_size + 1) in
+    let emit code =
+      bitbuf := !bitbuf lor (code lsl !bitcnt);
+      bitcnt := !bitcnt + !code_size;
+      while !bitcnt >= 8 do
+        Buffer.add_char out (Char.chr (!bitbuf land 0xff));
+        bitbuf := !bitbuf lsr 8;
+        bitcnt := !bitcnt - 8
+      done
+    in
+    let table = Hashtbl.create 4096 in
+    let next_code = ref (end_code + 1) in
+    let reset_table () =
+      Hashtbl.clear table;
+      next_code := end_code + 1;
+      code_size := min_code_size + 1
+    in
+    reset_table ();
+    emit clear_code;
+    let n = Bytes.length data in
+    if n > 0 then begin
+      let prefix = ref [ Bytes.get_uint8 data 0 ] in
+      let code_of seq =
+        match seq with
+        | [ single ] -> Some single
+        | _ -> Hashtbl.find_opt table seq
+      in
+      let emit_prefix seq =
+        emit (Option.get (code_of seq));
+        if !next_code >= 1 lsl !code_size && !code_size < Lzw.max_bits then
+          incr code_size
+      in
+      for i = 1 to n - 1 do
+        let c = Bytes.get_uint8 data i in
+        let candidate = !prefix @ [ c ] in
+        match code_of candidate with
+        | Some _ -> prefix := candidate
+        | None ->
+            emit_prefix !prefix;
+            if !next_code < 1 lsl Lzw.max_bits then begin
+              Hashtbl.replace table candidate !next_code;
+              incr next_code
+            end
+            else begin
+              emit clear_code;
+              incr clears;
+              reset_table ()
+            end;
+            prefix := [ c ]
+      done;
+      emit_prefix !prefix
+    end;
+    emit end_code;
+    if !bitcnt > 0 then Buffer.add_char out (Char.chr (!bitbuf land 0xff));
+    (Buffer.to_bytes out, !clears)
+
+  (* Deflate.compress_fixed, one write_bit call per output bit *)
+  type writer = { wbuf : Buffer.t; mutable wbyte : int; mutable wbit : int }
+
+  let write_bit w b =
+    w.wbyte <- w.wbyte lor (b lsl w.wbit);
+    if w.wbit = 7 then begin
+      Buffer.add_char w.wbuf (Char.chr w.wbyte);
+      w.wbyte <- 0;
+      w.wbit <- 0
+    end
+    else w.wbit <- w.wbit + 1
+
+  let write_bits_lsb w v n =
+    for i = 0 to n - 1 do
+      write_bit w ((v lsr i) land 1)
+    done
+
+  let write_code w code n =
+    for i = n - 1 downto 0 do
+      write_bit w ((code lsr i) land 1)
+    done
+
+  let compress_fixed data =
+    let w = { wbuf = Buffer.create 1024; wbyte = 0; wbit = 0 } in
+    write_bit w 1;
+    write_bits_lsb w 1 2;
+    Bytes.iter
+      (fun c ->
+        let code, n = Deflate.fixed_code (Char.code c) in
+        write_code w code n)
+      data;
+    let code, n = Deflate.fixed_code 256 in
+    write_code w code n;
+    if w.wbit <> 0 then Buffer.add_char w.wbuf (Char.chr w.wbyte);
+    Buffer.to_bytes w.wbuf
+
+  (* Mv1's forward path: a 2-D DCT matrix, [tmp] allocated per block,
+     ints converted inside the dot product, zigzag + quantize by
+     Array.map/mapi *)
+  let pi = 4.0 *. atan 1.0
+
+  let dct_matrix =
+    Array.init 8 (fun k ->
+        Array.init 8 (fun n ->
+            let ck = if k = 0 then sqrt (1.0 /. 8.0) else sqrt (2.0 /. 8.0) in
+            ck *. cos ((2.0 *. float_of_int n +. 1.0) *. float_of_int k *. pi /. 16.0)))
+
+  let fdct block out =
+    let tmp = Array.make 64 0.0 in
+    for k = 0 to 7 do
+      for x = 0 to 7 do
+        let s = ref 0.0 in
+        for n = 0 to 7 do
+          s := !s +. (dct_matrix.(k).(n) *. float_of_int block.((n * 8) + x))
+        done;
+        tmp.((k * 8) + x) <- !s
+      done
+    done;
+    for k = 0 to 7 do
+      for l = 0 to 7 do
+        let s = ref 0.0 in
+        for x = 0 to 7 do
+          s := !s +. (tmp.((k * 8) + x) *. dct_matrix.(l).(x))
+        done;
+        out.((k * 8) + l) <- !s
+      done
+    done
+
+  let encode_block buf quant coeffs =
+    let zz = Array.map (fun i -> coeffs.(i)) Mv1.zigzag in
+    let q =
+      Array.mapi
+        (fun i v -> int_of_float (Float.round (v /. float_of_int quant.(Mv1.zigzag.(i)))))
+        zz
+    in
+    let last_nonzero = ref (-1) in
+    Array.iteri (fun i v -> if v <> 0 then last_nonzero := i) q;
+    let i = ref 0 in
+    while !i <= !last_nonzero do
+      let run = ref 0 in
+      while q.(!i) = 0 && !run < 15 do
+        incr run;
+        incr i
+      done;
+      let v = q.(!i) in
+      Buffer.add_char buf (Char.chr !run);
+      Buffer.add_char buf (Char.chr (v land 0xff));
+      Buffer.add_char buf (Char.chr ((v asr 8) land 0xff));
+      incr i
+    done;
+    Buffer.add_char buf '\255'
+
+  let encode_plane buf quant plane ~width ~height =
+    let block = Array.make 64 0 in
+    let coeffs = Array.make 64 0.0 in
+    for by = 0 to (height / 8) - 1 do
+      for bx = 0 to (width / 8) - 1 do
+        for y = 0 to 7 do
+          for x = 0 to 7 do
+            block.((y * 8) + x) <- plane.(((by * 8 + y) * width) + (bx * 8) + x)
+          done
+        done;
+        fdct block coeffs;
+        encode_block buf quant coeffs
+      done
+    done
+
+  let encode_frame ~width ~height ~quality frame =
+    let quant = Mv1.quant_table ~quality in
+    let buf = Buffer.create (width * height / 4) in
+    encode_plane buf quant frame.Mv1.y_plane ~width ~height;
+    encode_plane buf quant frame.Mv1.u_plane ~width:(width / 2) ~height:(height / 2);
+    encode_plane buf quant frame.Mv1.v_plane ~width:(width / 2) ~height:(height / 2);
+    Buffer.to_bytes buf
+end
+
+(* symbols below the clear code, as GIF requires; a third of the cases
+   are long enough to fill the 4096-entry table and force clears *)
+let lzw_case_gen =
+  QCheck.Gen.(
+    int_range 2 8 >>= fun mcs ->
+    frequency [ (2, int_bound 600); (1, int_range 20_000 40_000) ] >>= fun len ->
+    bool >>= fun runs ->
+    let sym = int_bound ((1 lsl mcs) - 1) in
+    let data =
+      if runs then
+        (* runs of one symbol: long matches, the list-keyed original's worst case *)
+        map
+          (fun l -> Bytes.of_string (String.concat "" l))
+          (list_repeat (max 1 (len / 40))
+             (map2 (fun c k -> String.make (1 + k) (Char.chr c)) sym (int_bound 79)))
+      else map (fun a -> Bytes.init len (fun i -> Char.chr a.(i))) (array_repeat len sym)
+    in
+    map (fun d -> (mcs, d)) data)
+
+let lzw_same_bytes_as_oracle =
+  qcheck ~count:40 "lzw encodes byte-identically to the list-keyed original"
+    (QCheck.make
+       ~print:(fun (mcs, d) -> Printf.sprintf "mcs=%d len=%d" mcs (Bytes.length d))
+       lzw_case_gen)
+    (fun (min_code_size, data) ->
+      Bytes.equal (Lzw.encode ~min_code_size data)
+        (fst (Oracle.lzw_encode ~min_code_size data)))
+
+let lzw_oracle_crosses_clear () =
+  (* every code size, on an input that overflows the table at least once *)
+  let rng = Random.State.make [| 13 |] in
+  for min_code_size = 2 to 8 do
+    let data =
+      Bytes.init 40_000 (fun _ ->
+          Char.chr (Random.State.int rng (1 lsl min_code_size)))
+    in
+    let want, clears = Oracle.lzw_encode ~min_code_size data in
+    check_bool (Printf.sprintf "mcs %d crosses a clear" min_code_size) true (clears > 0);
+    check_bool (Printf.sprintf "mcs %d same bytes" min_code_size) true
+      (Bytes.equal want (Lzw.encode ~min_code_size data))
+  done
+
+let deflate_fixed_same_bytes_as_oracle =
+  qcheck ~count:50 "deflate fixed encodes byte-identically to the bitwise original"
+    QCheck.(map Bytes.of_string (string_of_size (Gen.int_bound 5000)))
+    (fun data -> Bytes.equal (Deflate.compress_fixed data) (Oracle.compress_fixed data))
+
+(* a plane of random multiple-of-8 dimensions, smooth or noisy *)
+let plane_gen =
+  QCheck.Gen.(
+    int_range 1 6 >>= fun bw ->
+    int_range 1 6 >>= fun bh ->
+    let width = bw * 8 and height = bh * 8 in
+    bool >>= fun smooth ->
+    int_bound 255 >>= fun base ->
+    map
+      (fun noise ->
+        let plane =
+          Array.init (width * height) (fun i ->
+              if smooth then (base + (i mod width) + (i / width)) land 0xff
+              else noise.(i))
+        in
+        (width, height, plane))
+      (array_repeat (width * height) (int_bound 255)))
+
+let mv1_plane_same_bytes_as_oracle =
+  qcheck ~count:60 "mv1 planes encode byte-identically to the per-block original"
+    (QCheck.make
+       ~print:(fun ((w, h, _), q) -> Printf.sprintf "%dx%d q%d" w h q)
+       QCheck.Gen.(pair plane_gen (int_range 1 100)))
+    (fun ((width, height, plane), quality) ->
+      let quant = Mv1.quant_table ~quality in
+      let fast = Buffer.create 256 and slow = Buffer.create 256 in
+      Mv1.encode_plane fast (Mv1.zigzag_divisors quant) plane ~width ~height;
+      Oracle.encode_plane slow quant plane ~width ~height;
+      String.equal (Buffer.contents fast) (Buffer.contents slow))
+
+let mv1_fdct_bit_identical =
+  qcheck ~count:300 "mv1 fdct coefficients are bit-identical to the original"
+    QCheck.(array_of_size (Gen.return 64) (int_bound 255))
+    (fun block ->
+      let want = Array.make 64 0.0 and got = Array.make 64 0.0 in
+      Oracle.fdct block want;
+      Mv1.fdct (Array.map float_of_int block) got;
+      Array.for_all2
+        (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+        want got)
+
+(* Coefficients landing exactly on k + 1/2 quantizer steps (and on -0.0
+   and exact multiples) exercise Float.round's tie rule, which the fast
+   quantizer must share with the original. *)
+let mv1_quantizer_ties_as_oracle =
+  qcheck ~count:200 "mv1 quantizer rounds ties like the original"
+    (QCheck.make
+       QCheck.Gen.(
+         pair (int_range 1 100)
+           (array_repeat 64
+              (int_range (-40) 40 >>= fun k ->
+               oneofl [ `Tie; `Exact; `Zero; `Neg_zero; `Any ] >>= fun kind ->
+               map (fun f -> (k, kind, f)) (float_range (-500.0) 500.0)))))
+    (fun (quality, spec) ->
+      let quant = Mv1.quant_table ~quality in
+      let coeffs =
+        Array.mapi
+          (fun raster (k, kind, f) ->
+            let step = float_of_int quant.(raster) in
+            match kind with
+            | `Tie -> (float_of_int k +. 0.5) *. step
+            | `Exact -> float_of_int k *. step
+            | `Zero -> 0.0
+            | `Neg_zero -> -0.0
+            | `Any -> f)
+          spec
+      in
+      let fast = Buffer.create 256 and slow = Buffer.create 256 in
+      Mv1.encode_block fast (Mv1.zigzag_divisors quant) coeffs (Array.make 64 0);
+      Oracle.encode_block slow quant coeffs;
+      String.equal (Buffer.contents fast) (Buffer.contents slow))
+
+let mv1_frame_same_bytes_as_oracle () =
+  (* whole frames, luma dimensions multiples of 16 as the container needs *)
+  let rng = Random.State.make [| 29 |] in
+  List.iter
+    (fun (width, height) ->
+      let plane n = Array.init n (fun _ -> Random.State.int rng 256) in
+      let frame =
+        {
+          Mv1.y_plane = plane (width * height);
+          u_plane = plane (width / 2 * (height / 2));
+          v_plane = plane (width / 2 * (height / 2));
+        }
+      in
+      check_bool (Printf.sprintf "%dx%d" width height) true
+        (Bytes.equal
+           (Mv1.encode_frame ~width ~height ~quality:Mv1.quality frame)
+           (Oracle.encode_frame ~width ~height ~quality:Mv1.quality frame)))
+    [ (16, 16); (48, 32); (160, 112) ]
+
+let adpcm_clamp_as_oracle =
+  qcheck "adpcm clamp agrees with polymorphic max/min"
+    QCheck.(triple small_signed_int small_signed_int small_signed_int)
+    (fun (a, b, v) ->
+      let lo = min a b and hi = max a b in
+      Adpcm.clamp lo hi v = max lo (min hi v))
+
+let suite_encoder_oracles =
+  ( "user.encoders",
+    [
+      lzw_same_bytes_as_oracle;
+      quick "lzw matches the original across table clears" lzw_oracle_crosses_clear;
+      deflate_fixed_same_bytes_as_oracle;
+      mv1_fdct_bit_identical;
+      mv1_plane_same_bytes_as_oracle;
+      mv1_quantizer_ties_as_oracle;
+      quick "mv1 frames match the original" mv1_frame_same_bytes_as_oracle;
+      adpcm_clamp_as_oracle;
+    ] )
+
 (* ---- crypto, against published vectors ---- *)
 
 let sha256_vectors () =
