@@ -146,6 +146,10 @@ let simbench () =
   Benchlib.Simbench.write_json r "BENCH_sim.json";
   print_endline "wrote BENCH_sim.json"
 
+let pixcopy () =
+  section "pixcopy: host cost of one pixel-plane copy";
+  print_string (Benchlib.Pixbench.render (Benchlib.Pixbench.run ()))
+
 let ablations () =
   section "Ablations: the design choices DESIGN.md calls out";
   print_string (Benchlib.Ablation.render (Benchlib.Ablation.run ()))
@@ -176,6 +180,7 @@ let experiments =
     ("crashbench", crashbench);
     ("fuzzbench", fuzzbench);
     ("lintbench", lintbench);
+    ("pixcopy", pixcopy);
   ]
 
 (* ---- Bechamel: one Test.make per table/figure, timing that

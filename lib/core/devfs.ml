@@ -238,9 +238,8 @@ let surface_ops t =
                     in
                     for i = 0 to npx - 1 do
                       s.Wm.pixels.(i) <-
-                        Bytes.get_uint8 data (4 * i)
-                        lor (Bytes.get_uint8 data ((4 * i) + 1) lsl 8)
-                        lor (Bytes.get_uint8 data ((4 * i) + 2) lsl 16)
+                        Int32.to_int (Bytes.get_int32_le data (4 * i))
+                        land 0xffffff
                     done;
                     s.Wm.dirty <- true;
                     s.Wm.frames <- s.Wm.frames + 1;

@@ -44,9 +44,10 @@ let dispatch s ctx =
       match s.s_fb with
       | None -> err ctx Errno.enosys
       | Some fb ->
-          let rows = Hw.Framebuffer.stale_rows fb in
+          (* charge after the fact: [Sched.charge] only accumulates, so
+             one scan both publishes the rows and counts them *)
+          let rows = Hw.Framebuffer.flush fb in
           Sched.charge ctx (Kcost.cache_flush_per_row * max 1 rows);
-          Hw.Framebuffer.flush fb;
           Sched.trace_emit_task ctx.Sched.sched ctx.Sched.task
             (Ktrace.Frame_present ctx.Sched.task.Task.pid);
           Sched.finish ctx (Abi.R_int rows))

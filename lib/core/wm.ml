@@ -185,7 +185,7 @@ let repaint_rows t ~y0 ~y1 =
   let layers = stacking t in
   let count = ref 0 in
   for y = y0 to y1 - 1 do
-    Array.fill t.compose_row 0 width 0x102030 (* desktop background *);
+    Hw.Framebuffer.fill t.compose_row 0 width 0x102030 (* desktop background *);
     List.iter
       (fun s ->
         let row = y - s.sy in
@@ -200,9 +200,9 @@ let repaint_rows t ~y0 ~y1 =
           done
         end)
       layers;
-    Hw.Framebuffer.write_row t.fb ~y t.compose_row
+    Hw.Framebuffer.write_row t.fb ~y ~off:0 t.compose_row
   done;
-  Hw.Framebuffer.flush t.fb;
+  ignore (Hw.Framebuffer.flush t.fb);
   !count
 
 (* One composition round: find the dirty row span and repaint it. *)

@@ -27,9 +27,52 @@ let height t = t.height
 let set_mapping t m = t.mapping <- m
 let mapping t = t.mapping
 
+(* Pixel planes are copied with int-typed loops. [Array.blit] runs the
+   write barrier once per element whenever the destination sits in the
+   major heap, as every long-lived plane does, and [Array.fill] re-reads
+   each old element; a loop over [int array] compiles to plain stores.
+   The loops are unrolled four ways because OCaml 5 polls at every loop
+   back-edge, and one poll per four pixels is measurably faster again
+   (EXPERIMENTS.md, "Pixel copies"). *)
+let blit (src : int array) src_off (dst : int array) dst_off len =
+  if
+    len < 0 || src_off < 0
+    || src_off > Array.length src - len
+    || dst_off < 0
+    || dst_off > Array.length dst - len
+  then invalid_arg "Framebuffer.blit";
+  let i = ref 0 in
+  while !i + 4 <= len do
+    let s = src_off + !i and d = dst_off + !i in
+    Array.unsafe_set dst d (Array.unsafe_get src s);
+    Array.unsafe_set dst (d + 1) (Array.unsafe_get src (s + 1));
+    Array.unsafe_set dst (d + 2) (Array.unsafe_get src (s + 2));
+    Array.unsafe_set dst (d + 3) (Array.unsafe_get src (s + 3));
+    i := !i + 4
+  done;
+  for k = !i to len - 1 do
+    Array.unsafe_set dst (dst_off + k) (Array.unsafe_get src (src_off + k))
+  done
+
+let fill (a : int array) off len px =
+  if len < 0 || off < 0 || off > Array.length a - len then
+    invalid_arg "Framebuffer.fill";
+  let i = ref off and stop = off + len in
+  while !i + 4 <= stop do
+    let k = !i in
+    Array.unsafe_set a k px;
+    Array.unsafe_set a (k + 1) px;
+    Array.unsafe_set a (k + 2) px;
+    Array.unsafe_set a (k + 3) px;
+    i := k + 4
+  done;
+  for k = !i to stop - 1 do
+    Array.unsafe_set a k px
+  done
+
 let publish_row t y =
   let off = y * t.width in
-  Array.blit t.cache off t.plane off t.width;
+  blit t.cache off t.plane off t.width;
   t.dirty.(y) <- false
 
 let write_pixel t ~x ~y px =
@@ -45,10 +88,10 @@ let read_pixel t ~x ~y =
     t.cache.((y * t.width) + x)
   else 0
 
-let write_row t ~y row =
+let write_row t ~y ~off row =
   if y >= 0 && y < t.height then begin
-    let n = min t.width (Array.length row) in
-    Array.blit row 0 t.cache (y * t.width) n;
+    let n = min t.width (Array.length row - off) in
+    blit row off t.cache (y * t.width) n;
     match t.mapping with
     | Uncached -> publish_row t y
     | Cached -> t.dirty.(y) <- true
@@ -56,16 +99,17 @@ let write_row t ~y row =
 
 let flush t =
   match t.mapping with
-  | Uncached -> ()
+  | Uncached -> 0
   | Cached ->
-      let any = ref false in
+      let rows = ref 0 in
       for y = 0 to t.height - 1 do
         if t.dirty.(y) then begin
           publish_row t y;
-          any := true
+          incr rows
         end
       done;
-      if !any then t.presented <- t.presented + 1
+      if !rows > 0 then t.presented <- t.presented + 1;
+      !rows
 
 let evict_some t rng ~fraction =
   for y = 0 to t.height - 1 do

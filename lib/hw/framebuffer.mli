@@ -28,6 +28,18 @@ val height : t -> int
 val set_mapping : t -> mapping -> unit
 val mapping : t -> mapping
 
+val blit : int array -> int -> int array -> int -> int -> unit
+(** [blit src src_off dst dst_off len]: [Array.blit] for pixel planes.
+    An int-typed loop of plain stores, without the per-element write
+    barrier [Array.blit] pays on a major-heap destination. It copies
+    forwards, so unlike [Array.blit] it needs distinct arrays or
+    non-overlapping ranges.
+    @raise Invalid_argument on a range outside either array. *)
+
+val fill : int array -> int -> int -> int -> unit
+(** [fill a off len px]: [Array.fill] for pixel planes, a plain-store loop
+    like {!blit}. @raise Invalid_argument on a range outside [a]. *)
+
 val write_pixel : t -> x:int -> y:int -> int -> unit
 (** Store one RGBA8888 pixel through the CPU view. Out-of-bounds writes are
     ignored (the real fb would wrap into GPU memory; apps must clip). *)
@@ -35,12 +47,17 @@ val write_pixel : t -> x:int -> y:int -> int -> unit
 val read_pixel : t -> x:int -> y:int -> int
 (** CPU-view load. *)
 
-val write_row : t -> y:int -> int array -> unit
-(** Store a full row; cheaper bulk path used by blit code. *)
+val write_row : t -> y:int -> off:int -> int array -> unit
+(** [write_row t ~y ~off src] stores [min (width t) (length src - off)]
+    pixels of [src] from index [off] as the start of row [y]; the bulk
+    path blit code uses, so a caller can copy a row straight out of a
+    full-frame canvas. Rows outside the screen are ignored.
+    @raise Invalid_argument if [off] is outside [0, length src]. *)
 
-val flush : t -> unit
+val flush : t -> int
 (** Cache-clean the framebuffer range: publish all dirty rows to the
-    display plane. No-op under [Uncached]. *)
+    display plane and return how many there were. No-op returning 0 under
+    [Uncached]. *)
 
 val evict_some : t -> Sim.Rng.t -> fraction:float -> unit
 (** Model background cache eviction: publish a random [fraction] of the

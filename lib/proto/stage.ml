@@ -147,7 +147,7 @@ let kernel_donut t ~pace ~frames ~speed =
               ((shade lsl 16) lor (shade lsl 8) lor (shade / 2))
           done
         done;
-        Hw.Framebuffer.flush fb;
+        ignore (Hw.Framebuffer.flush fb);
         (match pace with
         | `Busy_wait -> Effect.perform (Core.Abi.Burn 16_000_000)
         | `Sleep ms -> (

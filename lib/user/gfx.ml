@@ -12,7 +12,10 @@
 
 type mode =
   | Direct of Hw.Framebuffer.t
-  | Windowed of int  (** fd of /dev/surface *)
+  | Windowed of {
+      fd : int;  (** /dev/surface *)
+      scanline : Bytes.t;  (** the frame packed for the surface write *)
+    }
 
 type t = {
   mode : mode;
@@ -21,8 +24,6 @@ type t = {
   pixels : int array;  (** client-side buffer (windowed) or staging *)
   mutable cost_cycles : int;
   mutable frames : int;
-  scanline : Bytes.t;  (** scratch for surface writes *)
-  row_buf : int array;  (** scratch row for framebuffer blits *)
 }
 
 let rgb r g b = ((r land 0xff) lsl 16) lor ((g land 0xff) lsl 8) lor (b land 0xff)
@@ -50,8 +51,6 @@ let direct env =
             pixels = Array.make (w * h) 0;
             cost_cycles = 0;
             frames = 0;
-            scanline = Bytes.create (w * 4);
-            row_buf = Array.make w 0;
           }
   end
 
@@ -81,14 +80,12 @@ let windowed ~width ~height ~x ~y ?(alpha = 255) () =
     else
       Ok
         {
-          mode = Windowed fd;
+          mode = Windowed { fd; scanline = Bytes.create (width * height * 4) };
           width;
           height;
           pixels = Array.make (width * height) 0;
           cost_cycles = 0;
           frames = 0;
-          scanline = Bytes.create (width * height * 4);
-          row_buf = Array.make width 0;
         }
   end
 
@@ -106,7 +103,7 @@ let get t ~x ~y =
   else 0
 
 let fill t px =
-  Array.fill t.pixels 0 (Array.length t.pixels) px;
+  Hw.Framebuffer.fill t.pixels 0 (Array.length t.pixels) px;
   t.cost_cycles <- t.cost_cycles + (Array.length t.pixels * cost_fill_pixel)
 
 let fill_rect t ~x ~y ~w ~h px =
@@ -183,8 +180,7 @@ let present t =
   | Direct fb ->
       (* copy client buffer to the mapped framebuffer: user memmove *)
       for y = 0 to t.height - 1 do
-        Array.blit t.pixels (y * t.width) t.row_buf 0 t.width;
-        Hw.Framebuffer.write_row fb ~y t.row_buf
+        Hw.Framebuffer.write_row fb ~y ~off:(y * t.width) t.pixels
       done;
       (match Hw.Framebuffer.mapping fb with
       | Hw.Framebuffer.Cached ->
@@ -198,23 +194,21 @@ let present t =
       t.cost_cycles <- 0;
       (* make it visible: the §4.3 cache lesson *)
       ignore (Usys.cacheflush ())
-  | Windowed fd ->
+  | Windowed { fd; scanline } ->
       let npx = t.width * t.height in
-      (if Bytes.length t.scanline < npx * 4 then ()
-       else
-         for i = 0 to npx - 1 do
-           let px = t.pixels.(i) in
-           Bytes.set_uint8 t.scanline (4 * i) (px land 0xff);
-           Bytes.set_uint8 t.scanline ((4 * i) + 1) ((px lsr 8) land 0xff);
-           Bytes.set_uint8 t.scanline ((4 * i) + 2) ((px lsr 16) land 0xff);
-           Bytes.set_uint8 t.scanline ((4 * i) + 3) 0xff
-         done);
+      (* BGRA, alpha forced opaque: one little-endian 32-bit store *)
+      for i = 0 to npx - 1 do
+        Bytes.set_int32_le scanline (4 * i)
+          (Int32.of_int ((t.pixels.(i) land 0xffffff) lor 0xff000000))
+      done;
       charge t (npx / 4) (* pack pixels for the surface write *);
       Usys.burn t.cost_cycles;
       t.cost_cycles <- 0;
-      ignore (Usys.write fd (Bytes.sub t.scanline 0 (npx * 4))))
+      ignore (Usys.write fd (Bytes.sub scanline 0 (npx * 4))))
 
 let close t =
-  match t.mode with Windowed fd -> ignore (Usys.close fd) | Direct _ -> ()
+  match t.mode with
+  | Windowed { fd; _ } -> ignore (Usys.close fd)
+  | Direct _ -> ()
 
 let frames t = t.frames

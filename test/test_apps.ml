@@ -124,6 +124,44 @@ let mario_variants_produce_frames () =
       check_bool (variant ^ " renders") true (frames > 60))
     [ "noinput"; "proc"; "sdl" ]
 
+(* Pixel oracle: the display plane after a fixed stretch of virtual time
+   (hence a fixed frame count) must hash to the same value it always has.
+   vosbench's determinism digest covers time, counts and the UART but not
+   pixels; these pins catch a wrong row copy, a lost flush or a mis-packed
+   surface write. *)
+let display_digest ?mapping argv =
+  let stage = stage5 () in
+  let fb = Option.get stage.Proto.Stage.kernel.Core.Kernel.fb in
+  Option.iter (Hw.Framebuffer.set_mapping fb) mapping;
+  let task = Proto.Stage.start stage "mario" argv in
+  Proto.Stage.run_for stage (Sim.Engine.sec 3);
+  ( frames_of stage task.Core.Task.pid,
+    Digest.to_hex (Digest.string (Hw.Framebuffer.to_ppm fb)) )
+
+let golden_display_planes () =
+  List.iter
+    (fun (name, mapping, argv, frames, digest) ->
+      let f, d = display_digest ?mapping argv in
+      check_int (name ^ " frames") frames f;
+      check_string (name ^ " display plane") digest d)
+    [
+      ( "proc cached",
+        None,
+        [ "mario"; "proc"; "0" ],
+        340,
+        "b3454560ce56cf06227d5e7ce9435470" );
+      ( "noinput uncached",
+        Some Hw.Framebuffer.Uncached,
+        [ "mario"; "noinput"; "0" ],
+        196,
+        "6e527b5be7ffa97b3bee50fbe9417dc9" );
+      ( "sdl windowed",
+        None,
+        [ "mario"; "sdl"; "0" ],
+        217,
+        "cbf128b4097faa16df8e3d8602e788a9" );
+    ]
+
 let video_plays_at_native_rate () =
   let stage, task, _ =
     run_app_collect_frames ~prog:"video"
@@ -267,6 +305,7 @@ let suite_integration =
     [
       slow "doom produces frames" doom_produces_frames;
       slow "mario variants render" mario_variants_produce_frames;
+      slow "golden display planes" golden_display_planes;
       slow "video plays" video_plays_at_native_rate;
       slow "music fills the speaker" music_fills_the_speaker;
       slow "buzzer beeps" buzzer_beeps;

@@ -152,10 +152,185 @@ let fb_cache_experience () =
   check_int "display stale before flush" 0
     (Hw.Framebuffer.display_pixel fb ~x:3 ~y:5);
   check_int "one stale row" 1 (Hw.Framebuffer.stale_rows fb);
-  Hw.Framebuffer.flush fb;
+  check_int "flush publishes one row" 1 (Hw.Framebuffer.flush fb);
   check_int "visible after flush" 0xff0000
     (Hw.Framebuffer.display_pixel fb ~x:3 ~y:5);
   check_int "no stale rows" 0 (Hw.Framebuffer.stale_rows fb)
+
+(* ---- framebuffer against a naive model ---- *)
+
+(* The plane copies are hand-written loops, so check them differentially:
+   on any range, valid or not, they must leave the arrays exactly as
+   [Array.blit]/[Array.fill] do, or raise as they do. *)
+let fb_blit_matches_array =
+  qcheck "fb blit matches Array.blit"
+    QCheck.(
+      pair (pair (int_range 0 10) (int_range 0 10))
+        (triple (int_range (-2) 12) (int_range (-2) 12) (int_range (-2) 12)))
+    (fun ((src_len, dst_len), (src_off, dst_off, len)) ->
+      let run blit =
+        let src = Array.init src_len (fun i -> (7 * i) + 1) in
+        let dst = Array.make dst_len 0 in
+        match blit src src_off dst dst_off len with
+        | () -> Some dst
+        | exception Invalid_argument _ -> None
+      in
+      run Array.blit = run Hw.Framebuffer.blit)
+
+let fb_fill_matches_array =
+  qcheck "fb fill matches Array.fill"
+    QCheck.(triple (int_range 0 10) (int_range (-2) 12) (int_range (-2) 12))
+    (fun (n, off, len) ->
+      let run fill =
+        let a = Array.init n (fun i -> i) in
+        match fill a off len 0xabcdef with
+        | () -> Some a
+        | exception Invalid_argument _ -> None
+      in
+      run Array.fill = run Hw.Framebuffer.fill)
+
+type fb_op =
+  | Pixel of int * int * int  (** x, y, px *)
+  | Row of int * int * int array  (** y, off, source *)
+  | Flush
+  | Map of Hw.Framebuffer.mapping
+  | Evict of float
+
+let show_fb_op = function
+  | Pixel (x, y, px) -> Printf.sprintf "pixel (%d,%d)=%x" x y px
+  | Row (y, off, src) ->
+      Printf.sprintf "row y=%d off=%d len=%d" y off (Array.length src)
+  | Flush -> "flush"
+  | Map Hw.Framebuffer.Cached -> "map cached"
+  | Map Hw.Framebuffer.Uncached -> "map uncached"
+  | Evict f -> Printf.sprintf "evict %g" f
+
+(* Random op sequences on a small screen: pixels and rows partly off
+   screen, row sources shorter and longer than the width at any offset. *)
+let fb_ops_arb =
+  let open QCheck.Gen in
+  let op ~w ~h =
+    frequency
+      [
+        ( 4,
+          map3
+            (fun x y px -> Pixel (x, y, px))
+            (int_range (-1) w) (int_range (-1) h) (int_bound 0xffffff) );
+        ( 3,
+          int_range 0 ((2 * w) + 1) >>= fun len ->
+          map3
+            (fun y off src -> Row (y, off, src))
+            (int_range (-1) h) (int_range 0 len)
+            (array_repeat len (int_bound 0xffffff)) );
+        (2, return Flush);
+        ( 1,
+          map
+            (fun c ->
+              Map (if c then Hw.Framebuffer.Cached else Hw.Framebuffer.Uncached))
+            bool );
+        (1, map (fun f -> Evict f) (oneofl [ 0.0; 0.3; 0.7; 1.0 ]));
+      ]
+  in
+  let gen =
+    int_range 1 8 >>= fun w ->
+    int_range 1 6 >>= fun h ->
+    list_size (int_bound 40) (op ~w ~h) >|= fun ops -> (w, h, ops)
+  in
+  QCheck.make gen ~print:(fun (w, h, ops) ->
+      Printf.sprintf "%dx%d: %s" w h
+        (String.concat "; " (List.map show_fb_op ops)))
+
+(* The reference: the CPU view, the display plane and the dirty bits,
+   each pixel moved one at a time. *)
+let fb_matches_model =
+  qcheck ~count:300 "fb matches a naive cache/plane model" fb_ops_arb
+    (fun (w, h, ops) ->
+      let fb = Hw.Framebuffer.create ~width:w ~height:h in
+      let fb_rng = Sim.Rng.create 11L and m_rng = Sim.Rng.create 11L in
+      let cache = Array.make (w * h) 0
+      and plane = Array.make (w * h) 0
+      and dirty = Array.make h false
+      and mapping = ref Hw.Framebuffer.Cached
+      and presented = ref 0 in
+      let publish y =
+        for x = 0 to w - 1 do
+          plane.((y * w) + x) <- cache.((y * w) + x)
+        done;
+        dirty.(y) <- false
+      in
+      let stored y =
+        match !mapping with
+        | Hw.Framebuffer.Uncached -> publish y
+        | Hw.Framebuffer.Cached -> dirty.(y) <- true
+      in
+      let same_state () =
+        let ok = ref true in
+        for y = -1 to h do
+          for x = -1 to w do
+            let on = x >= 0 && x < w && y >= 0 && y < h in
+            let i = (y * w) + x in
+            ok :=
+              !ok
+              && Hw.Framebuffer.read_pixel fb ~x ~y
+                 = (if on then cache.(i) else 0)
+              && Hw.Framebuffer.display_pixel fb ~x ~y
+                 = if on then plane.(i) else 0
+          done
+        done;
+        !ok
+        && Hw.Framebuffer.stale_rows fb
+           = Array.fold_left (fun n d -> if d then n + 1 else n) 0 dirty
+        && Hw.Framebuffer.frames_presented fb = !presented
+      in
+      List.for_all
+        (fun op ->
+          let flushed_ok =
+            match op with
+            | Pixel (x, y, px) ->
+                Hw.Framebuffer.write_pixel fb ~x ~y px;
+                if x >= 0 && x < w && y >= 0 && y < h then begin
+                  cache.((y * w) + x) <- px;
+                  stored y
+                end;
+                true
+            | Row (y, off, src) ->
+                Hw.Framebuffer.write_row fb ~y ~off src;
+                if y >= 0 && y < h then begin
+                  for i = 0 to min w (Array.length src - off) - 1 do
+                    cache.((y * w) + i) <- src.(off + i)
+                  done;
+                  stored y
+                end;
+                true
+            | Flush ->
+                let rows =
+                  match !mapping with
+                  | Hw.Framebuffer.Uncached -> 0
+                  | Hw.Framebuffer.Cached ->
+                      let n = ref 0 in
+                      for y = 0 to h - 1 do
+                        if dirty.(y) then begin
+                          publish y;
+                          incr n
+                        end
+                      done;
+                      !n
+                in
+                if rows > 0 then incr presented;
+                Hw.Framebuffer.flush fb = rows
+            | Map m ->
+                Hw.Framebuffer.set_mapping fb m;
+                mapping := m;
+                true
+            | Evict fraction ->
+                Hw.Framebuffer.evict_some fb fb_rng ~fraction;
+                for y = 0 to h - 1 do
+                  if dirty.(y) && Sim.Rng.bool m_rng fraction then publish y
+                done;
+                true
+          in
+          flushed_ok && same_state ())
+        ops)
 
 let fb_uncached_writes_through () =
   let fb = Hw.Framebuffer.create ~width:8 ~height:8 in
@@ -414,6 +589,9 @@ let suite =
       quick "fb eviction fades" fb_eviction_fades;
       quick "fb out of bounds ignored" fb_out_of_bounds_ignored;
       quick "fb ppm and ascii" fb_ppm_and_ascii;
+      fb_blit_matches_array;
+      fb_fill_matches_array;
+      fb_matches_model;
       quick "gpio edges" gpio_edges;
       quick "dma completes and latches" dma_completes_and_latches;
       quick "dma busy rejects" dma_busy_rejects;

@@ -804,6 +804,25 @@ let dev_fb_mmap_and_cacheflush () =
          check_bool "rows flushed" true (flushed_rows >= 1);
          check_int "visible after flush" 0xabcdef
            (Hw.Framebuffer.display_pixel fb ~x:10 ~y:10);
+         (* the return value is the rows published; the charge is one
+            row's worth at least, so an empty flush costs what a one-row
+            flush does and each further row adds the same *)
+         let engine = kernel.Core.Kernel.board.Hw.Board.engine in
+         let timed_flush rows =
+           for y = 0 to rows - 1 do
+             Hw.Framebuffer.write_pixel fb ~x:0 ~y:(20 + y) 0x123456
+           done;
+           let t0 = Sim.Engine.now engine in
+           check_int "rows returned" rows (Usys.cacheflush ());
+           Int64.sub (Sim.Engine.now engine) t0
+         in
+         let empty = Int64.to_int (timed_flush 0) in
+         let one = Int64.to_int (timed_flush 1) in
+         let two = Int64.to_int (timed_flush 2) in
+         let three = Int64.to_int (timed_flush 3) in
+         check_int "empty flush costs one row" one empty;
+         check_bool "a row costs time" true (two > one);
+         check_int "each row costs the same" (two - one) (three - two);
          0)
    with
   | Ok _ -> ()

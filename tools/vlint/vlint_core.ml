@@ -25,6 +25,11 @@
             once in vprobe.ml's [static_points] catalog and mentioned in
             DESIGN.md — a probe a user cannot look up might as well not
             exist
+    - R008  no [Array.blit]/[Array.fill] in the modules that own pixel
+            planes (hw/framebuffer.ml, user/gfx.ml, core/wm.ml): on a
+            major-heap [int array] the runtime's per-element barrier
+            work makes a plane [Array.blit] 3-4x slower than the
+            plain-store loop of [Hw.Framebuffer.blit]
 
     Findings print as [file:line: rule-id message] and fail the build.
     [--allow FILE] grandfathers existing cases; an allow entry matching
@@ -130,6 +135,8 @@ type scan = {
   mutable field_reads : string list;  (** record labels read or destructured *)
   mutable banned_raises : (string * int) list;  (** invalid_arg/failwith sites *)
   mutable sim_engine : int list;  (** lines touching Sim.Engine *)
+  mutable array_copies : (string * int) list;
+      (** Array.blit/Array.fill sites, as "blit"/"fill" *)
   mutable matches : (string list * int option) list;
       (** per match/function: top-level case head ctors, wildcard line *)
 }
@@ -177,6 +184,7 @@ let scan_structure structure =
       field_reads = [];
       banned_raises = [];
       sim_engine = [];
+      array_copies = [];
       matches = [];
     }
   in
@@ -207,7 +215,12 @@ let scan_structure structure =
                 s.banned_raises <-
                   (name, line_of e.Parsetree.pexp_loc) :: s.banned_raises;
               if lid_is_sim_engine lid.Asttypes.txt then
-                s.sim_engine <- line_of e.Parsetree.pexp_loc :: s.sim_engine
+                s.sim_engine <- line_of e.Parsetree.pexp_loc :: s.sim_engine;
+              (match List.rev (Longident.flatten lid.Asttypes.txt) with
+              | (("blit" | "fill") as f) :: "Array" :: _ ->
+                  s.array_copies <-
+                    (f, line_of e.Parsetree.pexp_loc) :: s.array_copies
+              | _ -> ())
           | Parsetree.Pexp_match (_, cases) -> record_match s cases
           | Parsetree.Pexp_function cases -> record_match s cases
           | Parsetree.Pexp_open
@@ -476,6 +489,25 @@ let r005 ~files =
           s.sim_engine)
     files
 
+let pixel_plane_modules = [ "hw/framebuffer.ml"; "user/gfx.ml"; "core/wm.ml" ]
+
+let r008 ~files =
+  List.iter
+    (fun (path, _, s) ->
+      if
+        List.exists
+          (fun m -> path = m || String.ends_with ~suffix:("/" ^ m) path)
+          pixel_plane_modules
+      then
+        List.iter
+          (fun (f, line) ->
+            report ~file:path ~line ~rule:"R008"
+              "Array.%s in a pixel-plane module: use Hw.Framebuffer.%s, a \
+               plain-store int loop"
+              f f)
+          s.array_copies)
+    files
+
 (* ---- allowlist ---- *)
 
 type allow = { a_rule : string; a_suffix : string; a_substr : string }
@@ -552,6 +584,7 @@ let run ?allow_path ?design_path ~dirs () =
   r005 ~files;
   r006 ~files;
   r007 ~files ~design:design_path;
+  r008 ~files;
   let allows =
     match allow_path with None -> [] | Some p -> load_allow p
   in
